@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-stats build test race race-shard bench bench-smoke overhead-guard bench-scale chaos chaos-shard
+.PHONY: check vet lint lint-stats build test race race-shard bench bench-smoke bench-e2e overhead-guard bench-scale chaos chaos-shard fuzz-smoke
 
 check: lint build test race
 
@@ -32,15 +32,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrent runtime, the observability layer and the replication
-# harness are the packages with real cross-goroutine traffic; keep them
-# under the race detector. The experiments package rides along because its
+# The sharded engine, the observability layer and the replication harness
+# are the packages with real cross-goroutine traffic; keep them under the
+# race detector. The experiments package rides along because its
 # determinism tests drive every figure's scaled-down driver through the
 # harness at Parallelism 4 and GOMAXPROCS. The analysis suite rides along
 # too: its loader caches packages behind a plain map, so racing the tests
 # documents that each test process loads sequentially.
 race:
-	$(GO) test -race ./internal/distrun/... ./internal/obs/... ./internal/gossip/... \
+	$(GO) test -race ./internal/obs/... ./internal/gossip/... \
 		./internal/shardgossip/... \
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/...
 
@@ -53,6 +53,15 @@ bench:
 # (BenchmarkShardedStepScale) still runs and covers the same code path.
 bench-smoke:
 	$(GO) test -run='^$$' -short -bench=. -benchtime=1x -benchmem ./...
+
+# The end-to-end benchmark (e2ebench/README.md): each workload generates,
+# places, balances and validates instances for 40 s (BENCHMARK.json's
+# run_seconds) and prints its metrics; the last line of each run is one
+# JSON object.
+bench-e2e:
+	for w in paper converge scale; do \
+		bash e2ebench/run.sh --workload $$w --seed 1 --seconds 40 --trace 0 || exit 1; \
+	done
 
 # Observability must be free when it is off: the tracing-disabled step path
 # may not drift more than TOLERANCE above BENCH_3.json's recorded 'after'
@@ -124,3 +133,8 @@ chaos-shard:
 		./internal/shardgossip/... ./internal/experiments/...
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Chaos|Fault|Crash|Latch' -timeout 10m \
 		./internal/shardgossip/... ./internal/experiments/...
+
+# Every fuzz target for 10 s on top of its seed corpus (testdata/fuzz).
+# go test -fuzz accepts one target per invocation, so each gets its own run.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzReadSpans$$' -fuzztime=10s ./internal/explain/

@@ -180,26 +180,13 @@ func benchSelection(b *testing.B, sweep bool) {
 	b.ReportMetric(float64(final)/hetlb.TwoClusterLowerBound(tc), "cmax/lb")
 }
 
-// BenchmarkConcurrentVsSequential measures the concurrent runtime against
-// the sequential engine at the same exchange budget (DESIGN.md §5).
+// BenchmarkEngineSequential runs the sequential engine through the facade at
+// a fixed exchange budget.
 func BenchmarkEngineSequential(b *testing.B) {
 	tc := ablationInstance(b)
 	for i := 0; i < b.N; i++ {
 		initial := hetlb.RandomInitial(tc, uint64(i))
 		if _, err := hetlb.DLB2C(tc, initial, hetlb.RunOptions{Seed: uint64(i), MaxExchanges: 24 * 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineConcurrent is the goroutine-per-machine counterpart.
-func BenchmarkEngineConcurrent(b *testing.B) {
-	tc := ablationInstance(b)
-	for i := 0; i < b.N; i++ {
-		initial := hetlb.RandomInitial(tc, uint64(i))
-		if _, err := hetlb.DLB2C(tc, initial, hetlb.RunOptions{
-			Seed: uint64(i), MaxExchanges: 24 * 10, Concurrent: true,
-		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +258,7 @@ func BenchmarkMessagePassingLatency1(b *testing.B) { benchNetLatency(b, 1) }
 func BenchmarkMessagePassingLatency20(b *testing.B) { benchNetLatency(b, 20) }
 
 // BenchmarkGossipBare / BenchmarkGossipObserved quantify the cost of full
-// observability (metrics registry + event trace) on the sequential engine.
+// observability (metrics registry + span trace) on the sequential engine.
 // The record path is allocation-free by construction, so the gap should stay
 // within a few percent; the measured number is documented in README.md.
 func BenchmarkGossipBare(b *testing.B) {
@@ -286,16 +273,16 @@ func BenchmarkGossipObserved(b *testing.B) {
 func benchGossipObserved(b *testing.B, observed bool) {
 	tc := ablationInstance(b)
 	var reg *hetlb.MetricsRegistry
-	var tr *hetlb.EventTrace
+	var spans *hetlb.SpanTrace
 	if observed {
 		reg = hetlb.NewMetricsRegistry()
-		tr = hetlb.NewEventTrace(1 << 16)
+		spans = hetlb.NewSpanTrace(1 << 16)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		initial := hetlb.RandomInitial(tc, uint64(i))
 		if _, err := hetlb.DLB2C(tc, initial, hetlb.RunOptions{
-			Seed: uint64(i), MaxExchanges: 24 * 10, Metrics: reg, Trace: tr,
+			Seed: uint64(i), MaxExchanges: 24 * 10, Metrics: reg, Spans: spans,
 		}); err != nil {
 			b.Fatal(err)
 		}

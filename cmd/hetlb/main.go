@@ -76,11 +76,11 @@ subcommands:
              pairs, p50/p99 session latencies
 
 sim, worksteal, chaos and figures accept observability flags: --metrics-out
-(Prometheus text, or JSON with --metrics-json), --trace-out (Chrome
-trace_event JSON, or --trace-format=jsonl), --span-out (causal span trace
-JSONL), --timeline-out (convergence timeline, CSV or --timeline-format=json),
+(Prometheus text, or JSON with --metrics-json), --span-out (causal span
+trace JSONL), --trace-out (the same span trace as Chrome trace_event JSON),
+--timeline-out (convergence timeline, CSV or --timeline-format=json),
 --pprof <addr>, and --debug-addr <addr> (live /metrics, /timeline.json,
-/trace.jsonl, /spans.jsonl and /debug/pprof/ for the run's duration).
+/spans.jsonl and /debug/pprof/ for the run's duration).
 figures and chaos additionally accept --parallel (worker pool size; the
 results — and the span trace — are identical for every value) and --timeout.
 

@@ -18,8 +18,6 @@ type obsFlags struct {
 	metricsOut     string
 	metricsJSON    bool
 	traceOut       string
-	traceFormat    string
-	traceCap       int
 	spanOut        string
 	spanCap        int
 	timelineOut    string
@@ -32,23 +30,20 @@ type obsFlags struct {
 func (o *obsFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write run metrics to this file after the run (\"-\" = stdout)")
 	fs.BoolVar(&o.metricsJSON, "metrics-json", false, "emit metrics as JSON instead of Prometheus text")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write the event trace to this file after the run (\"-\" = stdout)")
-	fs.StringVar(&o.traceFormat, "trace-format", "chrome", "trace format: chrome (trace_event JSON) or jsonl")
-	fs.IntVar(&o.traceCap, "trace-cap", 1<<20, "event trace ring capacity (oldest events overwritten beyond it)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the span trace as Chrome trace_event JSON to this file after the run (\"-\" = stdout)")
 	fs.StringVar(&o.spanOut, "span-out", "", "write the causal span trace (JSONL) to this file after the run (\"-\" = stdout)")
-	fs.IntVar(&o.spanCap, "span-cap", 1<<18, "span trace ring capacity (oldest spans overwritten beyond it)")
+	fs.IntVar(&o.spanCap, "span-cap", 1<<18, "span trace ring capacity for --span-out and --trace-out (oldest spans overwritten beyond it)")
 	fs.StringVar(&o.timelineOut, "timeline-out", "", "write the convergence timeline to this file after the run (\"-\" = stdout)")
 	fs.StringVar(&o.timelineFormat, "timeline-format", "csv", "timeline format: csv or json")
 	fs.IntVar(&o.timelineCap, "timeline-cap", 1<<12, "timeline point budget (resolution halves beyond it)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve the live debug endpoints (/metrics, /timeline.json, /trace.jsonl, /spans.jsonl, /debug/pprof/) on this address for the run's duration")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve the live debug endpoints (/metrics, /timeline.json, /spans.jsonl, /debug/pprof/) on this address for the run's duration")
 }
 
 // obsSinks bundles the observability collectors a subcommand hands to the
 // library. A nil field means the corresponding output was not requested.
 type obsSinks struct {
 	Metrics  *hetlb.MetricsRegistry
-	Trace    *hetlb.EventTrace
 	Spans    *hetlb.SpanTrace
 	Timeline *hetlb.Timeline
 }
@@ -58,11 +53,6 @@ type obsSinks struct {
 // --debug-addr forces every collector on, so the live endpoints always have
 // something to serve.
 func (o *obsFlags) setup() (*obsSinks, error) {
-	switch o.traceFormat {
-	case "chrome", "jsonl":
-	default:
-		return nil, fmt.Errorf("unknown trace format %q (want chrome or jsonl)", o.traceFormat)
-	}
 	switch o.timelineFormat {
 	case "csv", "json":
 	default:
@@ -73,13 +63,7 @@ func (o *obsFlags) setup() (*obsSinks, error) {
 	if o.metricsOut != "" || debug {
 		s.Metrics = hetlb.NewMetricsRegistry()
 	}
-	if o.traceOut != "" || debug {
-		if o.traceCap <= 0 {
-			return nil, fmt.Errorf("trace capacity must be positive")
-		}
-		s.Trace = hetlb.NewEventTrace(o.traceCap)
-	}
-	if o.spanOut != "" || debug {
+	if o.spanOut != "" || o.traceOut != "" || debug {
 		if o.spanCap <= 0 {
 			return nil, fmt.Errorf("span capacity must be positive")
 		}
@@ -133,10 +117,6 @@ func debugMux(s *obsSinks) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/csv")
 		s.Timeline.WriteCSV(w)
 	})
-	mux.HandleFunc("/trace.jsonl", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/jsonl")
-		s.Trace.WriteJSONL(w)
-	})
 	mux.HandleFunc("/spans.jsonl", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl")
 		s.Spans.WriteJSONL(w)
@@ -160,27 +140,21 @@ func (o *obsFlags) flush(s *obsSinks) error {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}
-	if s.Trace != nil && o.traceOut != "" {
-		if n := s.Trace.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "trace: ring overflowed, oldest %d events dropped (raise -trace-cap)\n", n)
-		}
-		err := withOut(o.traceOut, func(f *os.File) error {
-			if o.traceFormat == "jsonl" {
-				return s.Trace.WriteJSONL(f)
-			}
-			return s.Trace.WriteChromeTrace(f)
-		})
-		if err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-	}
-	if s.Spans != nil && o.spanOut != "" {
+	if s.Spans != nil && (o.spanOut != "" || o.traceOut != "") {
 		if n := s.Spans.Dropped(); n > 0 {
 			fmt.Fprintf(os.Stderr, "spans: ring overflowed, oldest %d spans dropped (raise -span-cap)\n", n)
 		}
+	}
+	if s.Spans != nil && o.spanOut != "" {
 		err := withOut(o.spanOut, func(f *os.File) error { return s.Spans.WriteJSONL(f) })
 		if err != nil {
 			return fmt.Errorf("writing spans: %w", err)
+		}
+	}
+	if s.Spans != nil && o.traceOut != "" {
+		err := withOut(o.traceOut, func(f *os.File) error { return s.Spans.WriteChromeTrace(f) })
+		if err != nil {
+			return fmt.Errorf("writing trace: %w", err)
 		}
 	}
 	if s.Timeline != nil && o.timelineOut != "" {

@@ -24,9 +24,8 @@ func cmdSim(args []string) error {
 	hi := fs.Int64("hi", 1000, "maximum job cost")
 	steps := fs.Int("steps", 0, "pairwise exchange budget (default 5 per machine)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	concurrent := fs.Bool("concurrent", false, "use the goroutine-per-machine runtime")
 	shards := fs.Int("shards", 0, "run the sharded epoch engine with this many parallel shards; -1 picks one shard per core (results are identical for any shard count)")
-	stable := fs.Bool("stable", false, "stop early at a verified stable schedule (sequential only)")
+	stable := fs.Bool("stable", false, "stop early at a verified stable schedule")
 	var ob obsFlags
 	ob.register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -40,12 +39,9 @@ func cmdSim(args []string) error {
 
 	opt := hetlb.RunOptions{
 		Seed:            gen.Uint64(),
-		Concurrent:      *concurrent,
 		Shards:          *shards,
 		DetectStability: *stable,
-		QuiesceStreak:   64,
 		Metrics:         sinks.Metrics,
-		Trace:           sinks.Trace,
 		Spans:           sinks.Spans,
 		Timeline:        sinks.Timeline,
 	}

@@ -39,6 +39,18 @@
 //	})
 //	fmt.Println(res.Makespan, res.Converged)
 //
+// # Engines and observability
+//
+// There is one runtime per execution model. RunOptions selects the
+// sequential engine (the default: one pairwise exchange at a time, the
+// dynamics of the paper's figures) or the sharded epoch engine (Shards:
+// the sessions of a random matching in parallel, bit-identical at any
+// shard count); DLB2CMessagePassing runs machines as actors exchanging
+// messages over a simulated network. Any run can record one trace model:
+// a SpanTrace of causal spans (JSONL for `hetlb explain`, or
+// WriteChromeTrace for a trace viewer), a Timeline of its Cmax trajectory
+// and a MetricsRegistry of counters.
+//
 // # Replication
 //
 // Monte-Carlo studies over the library run through Replicate, a

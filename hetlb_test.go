@@ -35,29 +35,6 @@ func TestPublicDLB2CSequential(t *testing.T) {
 	}
 }
 
-func TestPublicDLB2CConcurrent(t *testing.T) {
-	p0 := make([]hetlb.Cost, 64)
-	p1 := make([]hetlb.Cost, 64)
-	for j := range p0 {
-		p0[j] = hetlb.Cost(1 + (j*37)%100)
-		p1[j] = hetlb.Cost(1 + (j*61)%100)
-	}
-	tc := mustTwoCluster(t, 4, 2, p0, p1)
-	initial := hetlb.RoundRobin(tc)
-	res, err := hetlb.DLB2C(tc, initial, hetlb.RunOptions{
-		Seed: 2, MaxExchanges: 3000, Concurrent: true, QuiesceStreak: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Assignment.Complete() {
-		t.Fatal("jobs lost")
-	}
-	if initial.Makespan() < res.Makespan {
-		t.Fatal("concurrent balancing made the round-robin schedule worse")
-	}
-}
-
 func TestPublicShardedRun(t *testing.T) {
 	p0 := make([]hetlb.Cost, 96)
 	p1 := make([]hetlb.Cost, 96)
@@ -92,12 +69,6 @@ func TestPublicShardedRun(t *testing.T) {
 	ra := run(hetlb.AutoShards)
 	if ra.Makespan != r1.Makespan || !ra.Assignment.Equal(r1.Assignment) || ra.Exchanges != r1.Exchanges {
 		t.Fatal("AutoShards differs from explicit shard counts")
-	}
-	// Shards and Concurrent are mutually exclusive.
-	if _, err := hetlb.DLB2C(tc, hetlb.RoundRobin(tc), hetlb.RunOptions{
-		MaxExchanges: 10, Shards: 2, Concurrent: true,
-	}); err == nil {
-		t.Fatal("Shards+Concurrent accepted")
 	}
 	// Shard counts below AutoShards are rejected.
 	if _, err := hetlb.DLB2C(tc, hetlb.RoundRobin(tc), hetlb.RunOptions{

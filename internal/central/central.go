@@ -83,14 +83,13 @@ func LPT(id *core.Identical) *core.Assignment {
 }
 
 // RatioLess orders jobs by increasing cost ratio
-// cluster0/cluster1 using exact integer cross multiplication, with the job
-// index as a deterministic tie break. It is the ordering at the heart of
-// CLB2C and of the Greedy Load Balancing of Algorithm 6.
+// cluster0/cluster1 using exact integer cross multiplication
+// (core.CmpProducts), with the job index as a deterministic tie break. It is
+// the ordering at the heart of CLB2C and of the Greedy Load Balancing of
+// Algorithm 6.
 func RatioLess(m core.Clustered, a, b int) bool {
-	la := m.ClusterCost(0, a) * m.ClusterCost(1, b)
-	lb := m.ClusterCost(0, b) * m.ClusterCost(1, a)
-	if la != lb {
-		return la < lb
+	if c := core.CmpProducts(m.ClusterCost(0, a), m.ClusterCost(1, b), m.ClusterCost(0, b), m.ClusterCost(1, a)); c != 0 {
+		return c < 0
 	}
 	return a < b
 }

@@ -228,3 +228,25 @@ func BenchmarkCLB2CPaperScale(b *testing.B) {
 		RunCLB2C(tc)
 	}
 }
+
+// TestRatioLessNoOverflow is the regression for cross products beyond int64:
+// with p0=[Infinite,1] and p1=[1,Infinite] job 1 is by far the cheaper job on
+// cluster 0 (ratio 1/Infinite against Infinite/1), and so is job 1 with
+// finite costs of 2^33, whose products 2^66 used to wrap to 0.
+func TestRatioLessNoOverflow(t *testing.T) {
+	for _, big := range []core.Cost{core.Infinite, 1 << 33} {
+		tc, err := core.NewTwoCluster(1, 1, []core.Cost{big, 1}, []core.Cost{1, big})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !RatioLess(tc, 1, 0) || RatioLess(tc, 0, 1) {
+			t.Fatalf("big=%d: RatioLess(1,0)=%v RatioLess(0,1)=%v, want true/false",
+				big, RatioLess(tc, 1, 0), RatioLess(tc, 0, 1))
+		}
+		jobs := []int{0, 1}
+		SortByRatio(tc, jobs)
+		if jobs[0] != 1 || jobs[1] != 0 {
+			t.Fatalf("big=%d: SortByRatio = %v, want [1 0]", big, jobs)
+		}
+	}
+}

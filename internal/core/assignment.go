@@ -19,9 +19,9 @@ import (
 // unordered internally; queries sort on the way out, preserving the
 // increasing-job-order contract the kernels and stability detection rely on.
 //
-// An Assignment is not safe for concurrent mutation; the concurrent runtime
-// gives each machine ownership of its own job set and serializes pairwise
-// exchanges (see internal/distrun).
+// An Assignment is not safe for concurrent mutation; the runtimes that
+// balance in parallel (internal/shardgossip, internal/netsim) keep their own
+// per-machine job sets and build an Assignment only from a snapshot.
 type Assignment struct {
 	model     CostModel
 	machineOf []int  // machineOf[job] = machine, or -1 if unassigned

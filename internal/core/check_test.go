@@ -3,13 +3,15 @@ package core
 import "testing"
 
 // TestCheckerFastPaths verifies that every structured model catches a
-// negative cost through its own Check fast path (the constructors do not
-// scan costs, so CheckModel is where the invariant is enforced).
+// negative cost through its own Check fast path (most constructors do not
+// scan costs, so CheckModel is where the invariant is enforced). NewTwoCluster
+// runs its Check itself and refuses the instance, so the two-cluster model is
+// built directly here.
 func TestCheckerFastPaths(t *testing.T) {
 	id, _ := NewIdentical(3, []Cost{4, -1, 2})
 	rel, _ := NewRelated([]int64{1, 2}, []Cost{5, -3})
 	ty, _ := NewTyped([][]Cost{{1, 2}, {3, -4}}, []int{0, 1, 0})
-	tc, _ := NewTwoCluster(1, 1, []Cost{1, 2}, []Cost{3, -5})
+	tc := &TwoCluster{m1: 1, m2: 1, p: [2][]Cost{{1, 2}, {3, -5}}}
 	den := MustDense([][]Cost{{1, 2}, {3, -6}})
 	for name, m := range map[string]CostModel{
 		"identical": id, "related": rel, "typed": ty, "twocluster": tc, "dense": den,

@@ -9,7 +9,10 @@
 // the repository is built on top of these types.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cost is a processing time expressed in abstract integer time units.
 // Integer costs are used deliberately: the paper's Markov analysis operates
@@ -21,6 +24,24 @@ type Cost = int64
 // dominate any realistic schedule while leaving headroom so that sums of a
 // few infinite costs do not overflow int64.
 const Infinite Cost = 1 << 50
+
+// CmpProducts returns -1, 0 or +1 as a·b is less than, equal to or greater
+// than c·d. The products are formed exactly over 128 bits, so comparing the
+// cost ratios a/d and c/b by cross multiplication stays exact for any costs,
+// Infinite included, where int64 products wrap. All four costs must be
+// non-negative; NewTwoCluster, whose ratios the CLB2C and DLB2C orders
+// compare, rejects negative costs.
+func CmpProducts(a, b, c, d Cost) int {
+	hi1, lo1 := bits.Mul64(uint64(a), uint64(b))
+	hi2, lo2 := bits.Mul64(uint64(c), uint64(d))
+	switch {
+	case hi1 < hi2 || hi1 == hi2 && lo1 < lo2:
+		return -1
+	case hi1 == hi2 && lo1 == lo2:
+		return 0
+	}
+	return 1
+}
 
 // CostModel exposes the processing-time matrix p[i][j] of an instance.
 // Implementations may store the full dense matrix or exploit structure

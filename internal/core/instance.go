@@ -251,7 +251,8 @@ type TwoCluster struct {
 
 // NewTwoCluster builds a two-cluster instance with m1 machines in cluster 0
 // and m2 machines in cluster 1. Machines [0, m1) belong to cluster 0 and
-// machines [m1, m1+m2) to cluster 1.
+// machines [m1, m1+m2) to cluster 1. Negative costs are rejected, so ratio
+// comparisons (CmpProducts) may treat every cost as unsigned.
 func NewTwoCluster(m1, m2 int, p0, p1 []Cost) (*TwoCluster, error) {
 	if m1 <= 0 || m2 <= 0 {
 		return nil, fmt.Errorf("core: two-cluster instance needs positive cluster sizes, got %d and %d", m1, m2)
@@ -259,7 +260,11 @@ func NewTwoCluster(m1, m2 int, p0, p1 []Cost) (*TwoCluster, error) {
 	if len(p0) != len(p1) {
 		return nil, fmt.Errorf("core: cluster cost vectors disagree on n: %d vs %d", len(p0), len(p1))
 	}
-	return &TwoCluster{m1: m1, m2: m2, p: [2][]Cost{p0, p1}}, nil
+	tc := &TwoCluster{m1: m1, m2: m2, p: [2][]Cost{p0, p1}}
+	if err := tc.Check(); err != nil {
+		return nil, err
+	}
+	return tc, nil
 }
 
 // NumMachines implements CostModel.

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
+	"hetlb/internal/core"
+	"hetlb/internal/gossip"
 	"hetlb/internal/harness"
 	"hetlb/internal/plot"
-	"hetlb/internal/trace"
 )
 
 // Figure4Run is one makespan trajectory (Figure 4 of the paper shows that
@@ -43,7 +45,7 @@ func Figure4With(opt harness.Options, cfgs []SimConfig, runsPerCfg int) ([]Figur
 			inst := cfg.build(gen)
 			a := randomInitial(gen, inst.model)
 			e := newEngine(inst, a, gen.Uint64())
-			rec := &trace.MakespanSeries{SampleEvery: cfg.Machines()}
+			rec := &makespanSeries{SampleEvery: cfg.Machines()}
 			e.Observe(rec)
 			e.Run(cfg.StepsPerMachine*cfg.Machines(), false)
 			fr := Figure4Run{Config: cfg, Run: rep.Index}
@@ -63,6 +65,33 @@ func Figure4With(opt harness.Options, cfgs []SimConfig, runsPerCfg int) ([]Figur
 		out = append(out, runs...)
 	}
 	return out, nil
+}
+
+// makespanSeries is the Figure 4 observer: it records Cmax every
+// SampleEvery steps (and at step 0) from the engine's incremental cache.
+type makespanSeries struct {
+	// SampleEvery controls the sampling period; 0 or 1 records every step.
+	SampleEvery int
+	// Steps and Values are the recorded series.
+	Steps  []int
+	Values []core.Cost
+}
+
+// OnStep implements gossip.Observer.
+func (t *makespanSeries) OnStep(e gossip.Stepper, step, _, _ int) {
+	if t.SampleEvery > 1 && step%t.SampleEvery != 0 {
+		return
+	}
+	t.Steps = append(t.Steps, step)
+	t.Values = append(t.Values, e.Makespan())
+}
+
+// Min returns the smallest recorded makespan (0 if empty).
+func (t *makespanSeries) Min() core.Cost {
+	if len(t.Values) == 0 {
+		return 0
+	}
+	return slices.Min(t.Values)
 }
 
 // oscillation returns max−min over the last quarter of the series.

@@ -4,10 +4,10 @@ import (
 	"sort"
 
 	"hetlb/internal/core"
+	"hetlb/internal/gossip"
 	"hetlb/internal/harness"
 	"hetlb/internal/plot"
 	"hetlb/internal/stats"
-	"hetlb/internal/trace"
 )
 
 // Figure5Result is one configuration's "time to reach 1.5× the centralized
@@ -31,6 +31,41 @@ type Figure5Result struct {
 	GlobalStepsPerMachine []float64
 	// Summary summarizes PerMachineExchanges.
 	Summary stats.Summary
+}
+
+// thresholdWatcher is the Figure 5 observer: it records the first step at
+// which the makespan drops to or below Threshold, together with a snapshot
+// of the per-machine exchange counts at that moment.
+type thresholdWatcher struct {
+	// Threshold is the makespan level watched for.
+	Threshold core.Cost
+	// Crossed reports whether the threshold was reached.
+	Crossed bool
+	// FirstStep is the 0-based step index of the first crossing.
+	FirstStep int
+	// ExchangesAtCross is a copy of the per-machine exchange counts at the
+	// crossing.
+	ExchangesAtCross []int
+}
+
+// OnStep implements gossip.Observer.
+func (t *thresholdWatcher) OnStep(e gossip.Stepper, step, _, _ int) {
+	if t.Crossed || e.Makespan() > t.Threshold {
+		return
+	}
+	t.Crossed = true
+	t.FirstStep = step
+	t.ExchangesAtCross = append([]int(nil), e.Exchanges()...)
+}
+
+// ExchangesPerMachine returns the crossing step normalized by the machine
+// count, the x-axis unit of Figure 5. It returns ok=false if the threshold
+// was never crossed.
+func (t *thresholdWatcher) ExchangesPerMachine(machines int) (float64, bool) {
+	if !t.Crossed || machines == 0 {
+		return 0, false
+	}
+	return float64(t.FirstStep+1) / float64(machines), true
 }
 
 // figure5Run is one replication's contribution, merged in index order.
@@ -61,7 +96,7 @@ func Figure5With(opt harness.Options, cfgs []SimConfig, factor float64) ([]Figur
 			inst := cfg.build(gen)
 			a := randomInitial(gen, inst.model)
 			threshold := core.Cost(factor * float64(inst.cent))
-			w := &trace.ThresholdWatcher{Threshold: threshold}
+			w := &thresholdWatcher{Threshold: threshold}
 			e := newEngine(inst, a, gen.Uint64())
 			e.Observe(w)
 			if a.Makespan() <= threshold {

@@ -5,6 +5,7 @@ import (
 
 	"hetlb/internal/core"
 	"hetlb/internal/obs"
+	"hetlb/internal/obs/span"
 	"hetlb/internal/protocol"
 	"hetlb/internal/rng"
 	"hetlb/internal/workload"
@@ -232,8 +233,8 @@ func TestEngineMetrics(t *testing.T) {
 	a := core.AllOnMachine(id, 0)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg)
-	tr := obs.NewTracer(4096)
-	e := New(protocol.SameCost{Model: id}, a, Config{Seed: 42, Metrics: met, Tracer: tr})
+	rec := span.NewRecorder(4096)
+	e := New(protocol.SameCost{Model: id}, a, Config{Seed: 42, Metrics: met, Spans: rec})
 	const steps = 300
 	e.Run(steps, false)
 
@@ -252,15 +253,18 @@ func TestEngineMetrics(t *testing.T) {
 	if got := met.StepMoves.Sum(); got != int64(e.Moves()) {
 		t.Fatalf("gossip_step_moves sum = %d, want %d", got, e.Moves())
 	}
-	// One pair-selected event per step, each mirroring the step index.
+	// One step span per step, each mirroring the step index.
 	var pairs int
-	for _, ev := range tr.Events() {
-		if ev.Type == obs.EvPairSelected {
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindStep {
+			if s.Start != int64(pairs) {
+				t.Fatalf("step span %d starts at %d", pairs, s.Start)
+			}
 			pairs++
 		}
 	}
 	if pairs != steps {
-		t.Fatalf("tracer recorded %d pair-selected events, want %d", pairs, steps)
+		t.Fatalf("recorded %d step spans, want %d", pairs, steps)
 	}
 }
 
@@ -281,8 +285,8 @@ func TestMetricsRegistryReuseAcrossRuns(t *testing.T) {
 
 // BenchmarkEngineMakespanCached measures Engine.Makespan (incremental cache)
 // queried every step; BenchmarkEngineMakespanRecompute is the old path, a
-// full O(m) rescan per query. The gap is the satellite-task win inherited by
-// trace.MakespanSeries and trace.ThresholdWatcher.
+// full O(m) rescan per query. The gap is what the Figure 4 makespan series
+// and the Figure 5 threshold watcher save on every step.
 func BenchmarkEngineMakespanCached(b *testing.B) {
 	benchMakespanQuery(b, func(e *Engine) core.Cost { return e.Makespan() })
 }

@@ -4,8 +4,8 @@ import "hetlb/internal/core"
 
 // Stepper is the read surface a balancing engine exposes to observers: the
 // sequential Engine here and the sharded engine in internal/shardgossip both
-// implement it, so the probes in internal/trace (makespan trajectories,
-// threshold watchers, timeline samplers) work unchanged on either. Every
+// implement it, so observers (the Figure 4 makespan series, the Figure 5
+// threshold watcher) work unchanged on either. Every
 // method is an O(1) (amortized) query off the engine's incremental caches —
 // observers run inside the step path, so anything costlier would distort
 // what is being measured.

@@ -19,8 +19,8 @@
 //
 // The harness also plumbs the observability layer through every run:
 // replications started/completed/failed counters, a wall-time histogram, one
-// EvReplicationStart/End trace event pair per replication, and an optional
-// progress callback for interactive front ends.
+// KindReplication span per replication, and an optional progress callback
+// for interactive front ends.
 package harness
 
 import (
@@ -60,10 +60,6 @@ type Options struct {
 	// gauge). Safe to share across runs: registration is idempotent and the
 	// counters accumulate.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives one EvReplicationStart/EvReplicationEnd
-	// event pair per replication (Time is the replication index, Value the
-	// wall nanoseconds, negative on failure).
-	Trace *obs.Tracer
 	// OnProgress, when non-nil, is called after every finished replication
 	// with the number completed so far and the total. Calls are serialized
 	// but arrive in completion order, which under parallelism is not index
@@ -222,9 +218,6 @@ func Map[T any](opt Options, seed uint64, n int, fn func(rep *Rep) (T, error)) (
 			if ins != nil {
 				ins.started.Inc()
 			}
-			if opt.Trace != nil {
-				opt.Trace.Emit(obs.Event{Time: int64(i), Type: obs.EvReplicationStart, A: int32(i), B: -1})
-			}
 			var rec *span.Recorder
 			var repSpan span.ID
 			if srecs != nil {
@@ -257,9 +250,6 @@ func Map[T any](opt Options, seed uint64, n int, fn func(rep *Rep) (T, error)) (
 					ins.failed.Inc()
 					ins.wall.Observe(wall)
 				}
-				if opt.Trace != nil {
-					opt.Trace.Emit(obs.Event{Time: int64(i), Type: obs.EvReplicationEnd, A: int32(i), B: -1, Value: -wall})
-				}
 				mu.Lock()
 				if firstErr == nil || i < firstErr.Index {
 					firstErr = &Error{Index: i, Err: err}
@@ -272,9 +262,6 @@ func Map[T any](opt Options, seed uint64, n int, fn func(rep *Rep) (T, error)) (
 			if ins != nil {
 				ins.completed.Inc()
 				ins.wall.Observe(wall)
-			}
-			if opt.Trace != nil {
-				opt.Trace.Emit(obs.Event{Time: int64(i), Type: obs.EvReplicationEnd, A: int32(i), B: -1, Value: wall})
 			}
 			mu.Lock()
 			completed++

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hetlb/internal/obs"
+	"hetlb/internal/obs/span"
 )
 
 // simulate is a stand-in replication body: a few thousand RNG draws reduced
@@ -164,9 +165,9 @@ func TestMapKeepsCompletedResultsOnError(t *testing.T) {
 
 func TestMapMetricsAndTrace(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(1 << 10)
+	rec := span.NewRecorder(1 << 10)
 	const n = 20
-	_, err := Map(Options{Parallelism: 4, Metrics: reg, Trace: tr}, 3, n, simulate)
+	_, err := Map(Options{Parallelism: 4, Metrics: reg, Spans: rec}, 3, n, simulate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +183,20 @@ func TestMapMetricsAndTrace(t *testing.T) {
 	if v := reg.Histogram("harness_replication_wall_ns", "", obs.Pow2Bounds(40)).Count(); v != n {
 		t.Fatalf("wall histogram has %d observations", v)
 	}
-	starts, ends := 0, 0
-	for _, e := range tr.Events() {
-		switch e.Type {
-		case obs.EvReplicationStart:
-			starts++
-		case obs.EvReplicationEnd:
-			ends++
-			if e.Value < 0 {
-				t.Fatal("successful replication traced as failed")
-			}
+	// One replication span per replication, merged in index order and
+	// none flagged as failed.
+	reps := 0
+	for _, sp := range rec.Spans() {
+		if sp.Kind != span.KindReplication {
+			continue
 		}
+		if sp.A != int32(reps) || sp.Flags&span.FlagFailed != 0 {
+			t.Fatalf("replication span %d = %+v", reps, sp)
+		}
+		reps++
 	}
-	if starts != n || ends != n {
-		t.Fatalf("trace has %d starts / %d ends", starts, ends)
+	if reps != n {
+		t.Fatalf("trace has %d replication spans, want %d", reps, n)
 	}
 }
 

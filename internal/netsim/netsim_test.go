@@ -8,6 +8,7 @@ import (
 	"hetlb/internal/faults"
 	"hetlb/internal/harness"
 	"hetlb/internal/obs"
+	"hetlb/internal/obs/span"
 	"hetlb/internal/protocol"
 	"hetlb/internal/rng"
 	"hetlb/internal/workload"
@@ -463,10 +464,10 @@ func TestObsMetricsMatchStats(t *testing.T) {
 	init := core.RoundRobin(tc)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg)
-	tr := obs.NewTracer(1 << 15)
+	rec := span.NewRecorder(1 << 15)
 	sim, err := New(tc, protocol.DLB2C{Model: tc}, init, Config{
 		Seed: 92, Latency: 3, Period: 10, Horizon: 1500,
-		Metrics: met, Tracer: tr,
+		Metrics: met, Spans: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -529,26 +530,26 @@ func TestObsMetricsMatchStats(t *testing.T) {
 			t.Fatalf("netsim_makespan = %d, want %d or %d", got, st.FinalMakespan, last)
 		}
 	}
-	// Tracer: sent events equal transmissions, recv events deliveries
-	// (queue fully drained), and session-end events equal sessions.
-	var sent, recv, ended int
-	for _, ev := range tr.Events() {
-		switch ev.Type {
-		case obs.EvMessageSent:
-			sent++
-		case obs.EvMessageRecv:
-			recv++
-		case obs.EvSessionEnd:
-			ended++
+	// Spans: the initiator closes one committed session span per
+	// completed handshake and one rejected span per rejection.
+	var committed, rejected int
+	for _, sp := range rec.Spans() {
+		if sp.Kind != span.KindSession || sp.Tag != span.TagInitiator {
+			continue
+		}
+		if sp.Flags&span.FlagCommitted != 0 {
+			committed++
+		}
+		if sp.Flags&span.FlagRejected != 0 {
+			rejected++
 		}
 	}
-	if tr.Dropped() == 0 {
-		if sent != st.Sent || recv != st.Delivered {
-			t.Fatalf("tracer sent/recv = %d/%d, want %d/%d", sent, recv, st.Sent, st.Delivered)
-		}
-		if ended != st.Sessions {
-			t.Fatalf("tracer session-end = %d, want %d", ended, st.Sessions)
-		}
+	if rec.Dropped() != 0 {
+		t.Fatalf("span ring dropped %d records; raise capacity", rec.Dropped())
+	}
+	if committed != st.Sessions || rejected != st.Rejections {
+		t.Fatalf("initiator spans committed/rejected = %d/%d, want %d/%d",
+			committed, rejected, st.Sessions, st.Rejections)
 	}
 	if st.Sessions == 0 {
 		t.Fatal("test instance produced no sessions; weaken the horizon")

@@ -12,7 +12,7 @@
 // stored in Span.Clock. Sorting the records of one trace by Clock yields an
 // order consistent with the happened-before relation.
 //
-// The design constraints mirror obs.Tracer:
+// The design constraints mirror the obs metrics:
 //
 //  1. Fixed-size records. A Span holds no pointers, so the ring never
 //     allocates after construction and Append is safe on the //hetlb:noalloc
@@ -330,5 +330,40 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		fmt.Fprintf(bw, "{\"id\":%d,\"parent\":%d,\"kind\":%q,\"tag\":%q,\"flags\":%d,\"a\":%d,\"b\":%d,\"start\":%d,\"end\":%d,\"clock\":%d,\"v\":%d}\n",
 			uint64(s.ID), uint64(s.Parent), s.Kind.String(), s.Tag.String(), s.Flags, s.A, s.B, s.Start, s.End, s.Clock, s.Value)
 	}
+	return bw.Flush()
+}
+
+// WriteChromeTrace writes the retained records in the Chrome trace_event
+// JSON format (load in chrome://tracing or Perfetto). Interval records
+// become complete events ("ph":"X", ts = Start, dur = End − Start) and
+// KindFault records thread-scoped instants ("ph":"i", ts = Start), all on
+// pid 0 with tid = A. The name is the kind, suffixed with ":tag" when the
+// record carries one; the remaining fields travel in args. Times are the
+// emitting runtime's logical unit, read by the viewer as microseconds.
+// otherData carries the ring accounting, so a truncated trace declares how
+// many records it lost.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	spans := r.Spans()
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\"traceEvents\":[\n")
+	for i, s := range spans {
+		name := s.Kind.String()
+		if s.Tag != TagNone {
+			name += ":" + s.Tag.String()
+		}
+		if s.Kind == KindFault {
+			fmt.Fprintf(bw, "{\"name\":%q,\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%d", name, s.A, s.Start)
+		} else {
+			fmt.Fprintf(bw, "{\"name\":%q,\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d", name, s.A, s.Start, s.End-s.Start)
+		}
+		fmt.Fprintf(bw, ",\"args\":{\"id\":%d,\"parent\":%d,\"b\":%d,\"flags\":%d,\"clock\":%d,\"v\":%d}}",
+			uint64(s.ID), uint64(s.Parent), s.B, s.Flags, s.Clock, s.Value)
+		if i < len(spans)-1 {
+			bw.WriteString(",")
+		}
+		bw.WriteString("\n")
+	}
+	fmt.Fprintf(bw, "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"meta\":\"hetlb-spans\",\"total\":%d,\"dropped\":%d}}\n",
+		r.Total(), r.Dropped())
 	return bw.Flush()
 }

@@ -1,6 +1,8 @@
 package span
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -156,5 +158,54 @@ func TestConcurrentAppendKeepsAccounting(t *testing.T) {
 	}
 	if r.Total() != 4000 || r.Dropped() != 4000-128 {
 		t.Fatalf("total/dropped = %d/%d, want 4000/%d", r.Total(), r.Dropped(), 4000-128)
+	}
+}
+
+// TestWriteChromeTrace pins the Chrome trace_event export of a small fixed
+// trace (one run span, one session span, one fault point) byte for byte,
+// then checks that it decodes as JSON with the intended event phases.
+func TestWriteChromeTrace(t *testing.T) {
+	r := NewRecorder(8)
+	run := r.NextID()
+	sess := r.NextID()
+	r.Append(Span{Parent: sess, Kind: KindFault, Tag: TagDrop, A: 3, B: 7, Start: 150, End: 150, Clock: 40, Value: 1})
+	r.Append(Span{ID: sess, Parent: run, Kind: KindSession, Tag: TagInitiator, Flags: FlagCommitted,
+		A: 3, B: 7, Start: 120, End: 190, Clock: 42, Value: 5})
+	r.Append(Span{ID: run, Kind: KindRun, A: -1, B: -1, Start: 0, End: 200, Value: 9})
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"traceEvents":[
+{"name":"fault:drop","ph":"i","s":"t","pid":0,"tid":3,"ts":150,"args":{"id":3,"parent":2,"b":7,"flags":0,"clock":40,"v":1}},
+{"name":"session:initiator","ph":"X","pid":0,"tid":3,"ts":120,"dur":70,"args":{"id":2,"parent":1,"b":7,"flags":1,"clock":42,"v":5}},
+{"name":"run","ph":"X","pid":0,"tid":-1,"ts":0,"dur":200,"args":{"id":1,"parent":0,"b":-1,"flags":0,"clock":0,"v":9}}
+],"displayTimeUnit":"ms","otherData":{"meta":"hetlb-spans","total":3,"dropped":0}}
+`
+	if buf.String() != want {
+		t.Fatalf("WriteChromeTrace output differs from golden.\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Ts   int64  `json:"ts"`
+			Dur  int64  `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) != 3 || doc.TraceEvents[0].Ph != "i" || doc.TraceEvents[1].Ph != "X" || doc.TraceEvents[1].Dur != 70 {
+		t.Fatalf("decoded events = %+v", doc.TraceEvents)
+	}
+
+	// An empty recorder still writes a loadable document.
+	buf.Reset()
+	if err := NewRecorder(1).WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil || len(doc.TraceEvents) != 0 {
+		t.Fatalf("empty trace: err %v, %d events", err, len(doc.TraceEvents))
 	}
 }

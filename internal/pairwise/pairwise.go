@@ -12,8 +12,8 @@
 // Every kernel exists in two layers. The Split* functions are pure: given
 // the pooled job set they return the partition (jobs for the first machine,
 // jobs for the second) without touching any shared state — this is what the
-// concurrent runtime (internal/distrun) calls while holding only the two
-// machines involved. The same-named convenience wrappers apply a split to a
+// sharded engine's session workers and the message-passing actors call,
+// each owning only the two machines involved. The same-named convenience wrappers apply a split to a
 // core.Assignment for the sequential engine and the tests.
 //
 // All kernels are deterministic functions of the pooled job set (not of how
@@ -140,7 +140,8 @@ func BasicGreedyJobs(a *core.Assignment, m1, m2 int, jobs []int) {
 }
 
 // sortByOwnRatio orders jobs by increasing cost ratio own-cluster cost over
-// other-cluster cost (exact integer cross multiplication, index tie break).
+// other-cluster cost (exact integer cross multiplication via
+// core.CmpProducts, index tie break).
 func sortByOwnRatio(c core.Clustered, own int, jobs []int) []int {
 	return appendSortedByOwnRatio(nil, c, own, jobs)
 }
@@ -153,16 +154,10 @@ func appendSortedByOwnRatio(dst []int, c core.Clustered, own int, jobs []int) []
 	start := len(dst)
 	dst = append(dst, jobs...)
 	slices.SortFunc(dst[start:], func(jx, jy int) int {
-		lx := c.ClusterCost(own, jx) * c.ClusterCost(other, jy)
-		ly := c.ClusterCost(own, jy) * c.ClusterCost(other, jx)
-		switch {
-		case lx < ly:
-			return -1
-		case lx > ly:
-			return 1
-		default:
-			return jx - jy
+		if r := core.CmpProducts(c.ClusterCost(own, jx), c.ClusterCost(other, jy), c.ClusterCost(own, jy), c.ClusterCost(other, jx)); r != 0 {
+			return r
 		}
+		return jx - jy
 	})
 	return dst
 }

@@ -1,6 +1,7 @@
 package pairwise
 
 import (
+	"slices"
 	"testing"
 
 	"hetlb/internal/core"
@@ -309,5 +310,23 @@ func BenchmarkCLB2CPair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CLB2CPair(a, tc, 0, 1)
+	}
+}
+
+// TestSortByOwnRatioNoOverflow is the regression for ratio cross products
+// beyond int64 (Infinite² and (2^33)² used to wrap): on cluster 0 job 1
+// (ratio 1/big) precedes job 0 (big/1), on cluster 1 the order flips.
+func TestSortByOwnRatioNoOverflow(t *testing.T) {
+	for _, big := range []core.Cost{core.Infinite, 1 << 33} {
+		tc, err := core.NewTwoCluster(2, 2, []core.Cost{big, 1}, []core.Cost{1, big})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortByOwnRatio(tc, 0, []int{0, 1}); !slices.Equal(got, []int{1, 0}) {
+			t.Errorf("big=%d: cluster-0 order %v, want [1 0]", big, got)
+		}
+		if got := sortByOwnRatio(tc, 1, []int{0, 1}); !slices.Equal(got, []int{0, 1}) {
+			t.Errorf("big=%d: cluster-1 order %v, want [0 1]", big, got)
+		}
 	}
 }

@@ -87,10 +87,6 @@ type Config struct {
 	// Metrics, when non-nil, receives steal/idle instrumentation (build
 	// with NewMetrics for the same machine count).
 	Metrics *Metrics
-	// Tracer, when non-nil, receives EvStealAttempt per probe and
-	// EvStealSuccess per steal (Time = virtual time, A = thief,
-	// B = victim, Value = jobs taken).
-	Tracer *obs.Tracer
 	// Spans, when non-nil, receives one KindSession span per successful
 	// steal (A = thief, B = victim, Start = when the thief went idle, End =
 	// the steal's commit time, Value = jobs taken), parented to a KindRun
@@ -315,9 +311,6 @@ func (s *Simulator) episode(i int, order []int) {
 		if s.cfg.Metrics != nil {
 			s.cfg.Metrics.Probes.Inc()
 		}
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvStealAttempt, A: int32(i), B: int32(victim)})
-		}
 		v := &s.ms[victim]
 		if len(v.pending) == 0 {
 			if s.cfg.StealLatency > 0 {
@@ -377,9 +370,6 @@ func (s *Simulator) steal(i, victim int) {
 		met.Steals.Inc()
 		met.JobsStolen.Add(int64(take))
 		met.StolenPerSteal.Observe(int64(take))
-	}
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvStealSuccess, A: int32(i), B: int32(victim), Value: int64(take)})
 	}
 	if sp := s.cfg.Spans; sp != nil {
 		since := s.idleSince[i]

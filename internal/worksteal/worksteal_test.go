@@ -7,6 +7,7 @@ import (
 	"hetlb/internal/core"
 	"hetlb/internal/exact"
 	"hetlb/internal/obs"
+	"hetlb/internal/obs/span"
 	"hetlb/internal/rng"
 	"hetlb/internal/workload"
 )
@@ -254,14 +255,14 @@ func BenchmarkWorkStealStealOne(b *testing.B) {
 
 func TestObsMetricsMatchStats(t *testing.T) {
 	// The obs counters must agree with the Stats the simulator already
-	// reports, and the tracer must carry one event per probe and per steal.
+	// reports, and the span trace must carry one session span per steal.
 	gen := rng.New(61)
 	tc := workload.UniformTwoCluster(gen, 8, 4, 96, 1, 100)
 	init := core.AllOnMachine(tc, 0)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg, tc.NumMachines())
-	tr := obs.NewTracer(1 << 16)
-	sim, err := New(tc, init, Config{Seed: 62, StealLatency: 3, Metrics: met, Tracer: tr})
+	rec := span.NewRecorder(1 << 16)
+	sim, err := New(tc, init, Config{Seed: 62, StealLatency: 3, Metrics: met, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,20 +297,18 @@ func TestObsMetricsMatchStats(t *testing.T) {
 	if idle == 0 {
 		t.Fatal("no idle time charged on an all-on-one start")
 	}
-	var attempts, successes int64
-	for _, ev := range tr.Events() {
-		switch ev.Type {
-		case obs.EvStealAttempt:
-			attempts++
-		case obs.EvStealSuccess:
-			successes++
+	var steals, stolen int64
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindSession {
+			steals++
+			stolen += s.Value
 		}
 	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("tracer dropped %d events; raise capacity", tr.Dropped())
+	if rec.Dropped() != 0 {
+		t.Fatalf("span ring dropped %d records; raise capacity", rec.Dropped())
 	}
-	if attempts != int64(st.Probes) || successes != int64(st.Steals) {
-		t.Fatalf("tracer saw %d attempts / %d successes, want %d / %d",
-			attempts, successes, st.Probes, st.Steals)
+	if steals != int64(st.Steals) || stolen != met.JobsStolen.Value() {
+		t.Fatalf("spans saw %d steals / %d jobs, want %d / %d",
+			steals, stolen, st.Steals, met.JobsStolen.Value())
 	}
 }

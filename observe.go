@@ -9,9 +9,10 @@ import (
 // This file exposes the observability layer. A MetricsRegistry collects
 // named counters, gauges and histograms from every runtime that is handed
 // one (via RunOptions.Metrics, MessagePassingOptions.Metrics or
-// WorkStealingOptions.Metrics); an EventTrace is a bounded ring of typed
-// protocol events. Both are concurrency-safe and allocation-free on the
-// record path, so attaching them does not perturb what is being measured.
+// WorkStealingOptions.Metrics); a SpanTrace records the run's causal
+// spans and a Timeline its convergence trajectory. All are
+// concurrency-safe and allocation-free on the record path, so attaching
+// them does not perturb what is being measured.
 
 // MetricsRegistry holds named metric instruments. Export its contents with
 // WritePrometheus (text exposition format) or WriteJSON (deterministic
@@ -22,21 +23,6 @@ type MetricsRegistry = obs.Registry
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// EventTrace is a bounded ring buffer of protocol events (pair selections,
-// migrations, messages, steals, makespan samples). When full it overwrites
-// the oldest events and counts them in Dropped. Export with WriteJSONL or
-// WriteChromeTrace (load the latter in a trace viewer such as Perfetto).
-type EventTrace = obs.Tracer
-
-// TraceEvent is one recorded event: Time is the runtime's own clock (step
-// index, virtual time, or nanoseconds depending on the source), A and B the
-// actor machines (-1 when not applicable), Value an event-specific quantity
-// such as jobs moved.
-type TraceEvent = obs.Event
-
-// NewEventTrace returns a trace ring holding up to capacity events.
-func NewEventTrace(capacity int) *EventTrace { return obs.NewTracer(capacity) }
-
 // SpanTrace is a bounded ring of causal span records: a hierarchy of
 // run → replication → sweep/session → step intervals plus the fault point
 // records (drops, retransmits, timeouts, crashes) parented to the session
@@ -44,8 +30,9 @@ func NewEventTrace(capacity int) *EventTrace { return obs.NewTracer(capacity) }
 // virtual time, session sequence numbers — never the wall clock), and the
 // message-passing runtime stamps each record with a Lamport clock, so a
 // span trace is a pure function of the seed: bit-identical across worker
-// counts and suitable for golden tests. Export with WriteJSONL; analyze
-// with `hetlb explain`.
+// counts and suitable for golden tests. Export with WriteJSONL (analyze
+// with `hetlb explain`) or WriteChromeTrace (load in a trace viewer such
+// as Perfetto).
 type SpanTrace = span.Recorder
 
 // SpanRecord is one record of a SpanTrace: a closed interval [Start, End]

@@ -29,9 +29,6 @@ type ReplicationOptions struct {
 	// Metrics, when non-nil, receives the harness_* instruments
 	// (replications started/completed/failed, wall-time histogram).
 	Metrics *MetricsRegistry
-	// Trace, when non-nil, receives one replication-start/end event pair
-	// per replication.
-	Trace *EventTrace
 	// OnProgress, when non-nil, is called after each finished replication
 	// with (completed, total). Calls are serialized but arrive in
 	// completion order.
@@ -69,7 +66,6 @@ func Replicate[T any](opt ReplicationOptions, seed uint64, n int, fn func(rep *R
 		Context:     opt.Context,
 		Timeout:     opt.Timeout,
 		Metrics:     opt.Metrics,
-		Trace:       opt.Trace,
 		OnProgress:  opt.OnProgress,
 		Spans:       opt.Spans,
 		SpanCap:     opt.SpanCap,

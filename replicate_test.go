@@ -89,8 +89,8 @@ func TestDeriveSeedIsPure(t *testing.T) {
 
 func TestReplicateMetrics(t *testing.T) {
 	reg := hetlb.NewMetricsRegistry()
-	tr := hetlb.NewEventTrace(256)
-	_, err := hetlb.Replicate(hetlb.ReplicationOptions{Metrics: reg, Trace: tr}, 5, 10,
+	spans := hetlb.NewSpanTrace(256)
+	_, err := hetlb.Replicate(hetlb.ReplicationOptions{Metrics: reg, Spans: spans}, 5, 10,
 		func(rep *hetlb.Replication) (int, error) { return rep.Index, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestReplicateMetrics(t *testing.T) {
 	if got := reg.Counter("harness_replications_completed_total", "").Value(); got != 10 {
 		t.Fatalf("completed counter = %d", got)
 	}
-	if tr.Len() != 20 { // one start + one end event per replication
-		t.Fatalf("trace has %d events", tr.Len())
+	if spans.Len() != 10 { // one replication span per replication
+		t.Fatalf("trace has %d spans", spans.Len())
 	}
 }
